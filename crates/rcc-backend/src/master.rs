@@ -1,7 +1,7 @@
 //! The master database: tables, serialized transactions, replication log.
 
 use crate::heartbeat::{heartbeat_schema, HEARTBEAT_TABLE};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rcc_catalog::{Catalog, TableMeta};
 use rcc_common::{Clock, Error, RegionId, Result, Row, Timestamp, TxnId, Value};
 use rcc_storage::{
@@ -56,9 +56,14 @@ pub struct MasterDb {
     storage: Arc<StorageEngine>,
     catalog: Arc<Catalog>,
     clock: Arc<dyn Clock>,
-    // Lock order: `durability` (when read at all) strictly before `log`.
+    // Lock order: `durability` (when read at all) strictly before `log`,
+    // and `log` before `last_commit`.
     durability: RwLock<Option<Arc<DurableStore>>>,
     log: RwLock<LogState>,
+    /// Id and time of the newest logged transaction. Written under the log
+    /// lock as each transaction is logged and held only for that copy, so
+    /// [`MasterDb::latest_commit`] never waits behind a commit in flight.
+    last_commit: Mutex<(TxnId, Timestamp)>,
 }
 
 /// The replication log. `base` counts transactions that predate the last
@@ -82,6 +87,7 @@ impl MasterDb {
             clock,
             durability: RwLock::new(None),
             log: RwLock::new(LogState::default()),
+            last_commit: Mutex::new((TxnId::ZERO, Timestamp::ZERO)),
         };
         let hb = Table::new(HEARTBEAT_TABLE, heartbeat_schema(), vec![0]);
         db.storage
@@ -176,7 +182,7 @@ impl MasterDb {
         }
         // Write-ahead: frame the transaction into the WAL before any table
         // publishes. Under `SyncPolicy::Always` the append fsyncs, so the
-        // record is durable before the COW epoch becomes visible; under
+        // record is durable before the new snapshot becomes visible; under
         // `Group` the fsync is deferred to `sync_commit` below, after
         // publish but before the commit is acknowledged to the caller.
         let commit_time = self.clock.now();
@@ -194,35 +200,12 @@ impl MasterDb {
             let lsn = store.append_commit(&record)?;
             pending_sync = Some((store, lsn));
         }
-        // Group the changes per table (statement order preserved within
-        // each table; tables have disjoint keyspaces, so the final state is
-        // the same) and publish one copy-on-write snapshot per table —
-        // readers see each table's whole batch or none of it.
-        let mut order: Vec<&str> = Vec::new();
-        let mut groups: HashMap<&str, Vec<&RowChange>> = HashMap::new();
-        for c in &changes {
-            if !groups.contains_key(c.table.as_str()) {
-                order.push(&c.table);
-            }
-            groups.entry(c.table.as_str()).or_default().push(&c.change);
-        }
-        for table in &order {
-            let handle = self.storage.table(table)?;
-            let group = &groups[table];
-            handle.update(|t| {
-                for change in group {
-                    t.apply(change)?;
-                }
-                Ok(())
-            })?;
-        }
-        log.next_id = id;
         let txn = CommittedTxn {
             id: TxnId(id),
             commit_time,
             changes,
         };
-        log.txns.push(txn.clone());
+        self.apply_and_log(&mut log, txn.clone())?;
         drop(log);
         if let Some((store, lsn)) = pending_sync {
             store.sync_commit(lsn)?;
@@ -270,41 +253,65 @@ impl MasterDb {
         log.base = base_log_len as usize;
         log.next_id = base_next_id;
         log.txns.clear();
+        *self.last_commit.lock() = (TxnId::ZERO, Timestamp::ZERO);
         for rec in commits {
-            let changes: Vec<TableChange> = rec
+            let changes = rec
                 .changes
                 .iter()
                 .map(|(table, change)| TableChange::new(table.clone(), change.clone()))
                 .collect();
-            let mut order: Vec<&str> = Vec::new();
-            let mut groups: HashMap<&str, Vec<&RowChange>> = HashMap::new();
-            for c in &changes {
-                if !groups.contains_key(c.table.as_str()) {
-                    order.push(&c.table);
-                }
-                groups.entry(c.table.as_str()).or_default().push(&c.change);
-            }
-            for table in &order {
-                let handle = self.storage.table(table)?;
-                let group = &groups[table];
-                handle.update(|t| {
-                    for change in group {
-                        // Idempotent apply: a commit may be both inside the
-                        // checkpoint image and still framed in the WAL when
-                        // a crash lands between checkpoint and WAL reset.
-                        t.apply(change)?;
-                    }
-                    Ok(())
-                })?;
-            }
-            log.next_id = rec.id;
-            log.txns.push(CommittedTxn {
-                id: TxnId(rec.id),
-                commit_time: Timestamp(rec.commit_ms),
-                changes,
-            });
+            self.apply_and_log(
+                &mut log,
+                CommittedTxn {
+                    id: TxnId(rec.id),
+                    commit_time: Timestamp(rec.commit_ms),
+                    changes,
+                },
+            )?;
         }
         Ok(commits.len())
+    }
+
+    /// The one path by which a transaction reaches the master tables and
+    /// the log, shared by [`MasterDb::execute_txn`] and
+    /// [`MasterDb::recover`]. Changes are grouped per table (statement
+    /// order preserved within each table; tables have disjoint keyspaces,
+    /// so the final state is the same) and applied to each table's private
+    /// copy-on-write copy through the idempotent [`Table::apply`] — a
+    /// recovered commit may sit both in the checkpoint image and in the
+    /// WAL tail. Only when every table has applied is the transaction
+    /// logged, `last_commit` set and each table's copy published, so a
+    /// failing change publishes nothing, readers see each table's whole
+    /// batch or none of it, and `latest_commit` never trails a published
+    /// table.
+    fn apply_and_log(&self, log: &mut LogState, txn: CommittedTxn) -> Result<()> {
+        let mut order: Vec<&str> = Vec::new();
+        let mut groups: HashMap<&str, Vec<&RowChange>> = HashMap::new();
+        for c in &txn.changes {
+            if !groups.contains_key(c.table.as_str()) {
+                order.push(&c.table);
+            }
+            groups.entry(c.table.as_str()).or_default().push(&c.change);
+        }
+        let handles = order
+            .iter()
+            .map(|table| self.storage.table(table))
+            .collect::<Result<Vec<_>>>()?;
+        let mut writers = Vec::with_capacity(handles.len());
+        for (handle, table) in handles.iter().zip(&order) {
+            let mut writer = handle.begin_write();
+            for change in &groups[table] {
+                writer.apply(change)?;
+            }
+            writers.push(writer);
+        }
+        log.next_id = txn.id.0;
+        *self.last_commit.lock() = (txn.id, txn.commit_time);
+        log.txns.push(txn);
+        for writer in writers {
+            writer.publish();
+        }
+        Ok(())
     }
 
     /// Persist a replication agent's propagation position. No-op without a
@@ -400,13 +407,11 @@ impl MasterDb {
     }
 
     /// Id and time of the latest committed transaction (zero / epoch if no
-    /// update has ever committed).
+    /// update has ever committed, or none was replayed by the last
+    /// [`MasterDb::recover`]). Reads a cell the commit path sets as it
+    /// logs, so this never waits for the log lock a commit holds.
     pub fn latest_commit(&self) -> (TxnId, Timestamp) {
-        let log = self.log.read();
-        log.txns
-            .last()
-            .map(|t| (t.id, t.commit_time))
-            .unwrap_or((TxnId::ZERO, Timestamp::ZERO))
+        *self.last_commit.lock()
     }
 
     /// Compute fresh statistics for a master table.
@@ -462,6 +467,40 @@ mod tests {
         assert!(t2.id > t1.id);
         assert!(t2.commit_time > t1.commit_time);
         assert_eq!(db.latest_commit(), (t2.id, t2.commit_time));
+    }
+
+    #[test]
+    fn latest_commit_does_not_take_the_log_lock() {
+        let (db, _) = setup();
+        let t1 = db.execute_txn(vec![ins(1, 10)]).unwrap();
+        let _commit_in_flight = db.log.write();
+        assert_eq!(db.latest_commit(), (t1.id, t1.commit_time));
+    }
+
+    #[test]
+    fn failed_txn_publishes_no_table() {
+        let (db, _) = setup();
+        let other = TableMeta::new(
+            db.catalog().next_table_id(),
+            "u",
+            Schema::new(vec![Column::new("id", DataType::Int)]),
+            vec!["id".into()],
+        )
+        .unwrap();
+        db.create_table(&other).unwrap();
+        // the second change has the wrong arity for `u`, so neither table
+        // may publish and nothing may reach the log
+        let err = db.execute_txn(vec![
+            ins(1, 10),
+            TableChange::new(
+                "u",
+                RowChange::Insert(Row::new(vec![Value::Int(1), Value::Int(2)])),
+            ),
+        ]);
+        assert!(err.is_err());
+        assert_eq!(db.table("t").unwrap().snapshot().row_count(), 0);
+        assert_eq!(db.log_len(), 0);
+        assert_eq!(db.latest_commit(), (TxnId::ZERO, Timestamp::ZERO));
     }
 
     #[test]
@@ -623,6 +662,24 @@ mod tests {
                 "deleted row must not resurrect"
             );
             assert_eq!(clock.now(), Timestamp(5_000), "clock restored from log");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        #[test]
+        fn latest_commit_after_recover_names_the_last_replayed_commit() {
+            let dir = temp_dir("latest");
+            let last = {
+                let (db, clock, _) = durable_setup(&dir);
+                db.execute_txn(vec![ins(1, 10)]).unwrap();
+                clock.advance(Duration::from_secs(4));
+                db.execute_txn(vec![ins(2, 20)]).unwrap()
+            };
+            let (db, _, replayed) = durable_setup(&dir);
+            assert_eq!(replayed, 2);
+            assert_eq!(db.latest_commit(), (last.id, last.commit_time));
+            let next = db.execute_txn(vec![ins(3, 30)]).unwrap();
+            assert!(next.id > last.id);
+            assert_eq!(db.latest_commit(), (next.id, next.commit_time));
             std::fs::remove_dir_all(&dir).unwrap();
         }
 

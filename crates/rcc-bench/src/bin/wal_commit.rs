@@ -3,14 +3,20 @@
 //! Drives `MasterDb::execute_txn` from N concurrent writer threads under
 //! three durability modes and reports transactions/second for each:
 //!
-//! * **in_memory** — no durability attached (the default rig): the upper
-//!   bound, a pure COW-publish commit path.
+//! * **in_memory** — no durability attached (the default rig): the commit
+//!   path without a WAL — row apply, copy-on-write publish of the touched
+//!   chunks, and the replication-log append.
 //! * **group_commit** — WAL appended per commit, fsyncs batched across
 //!   concurrent committers (leader election); a commit is acknowledged
 //!   only after a sync covering its LSN completes.
 //! * **fsync_per_commit** — WAL appended *and* fsynced inside every
 //!   commit before the COW epoch publishes: the strict
 //!   write-ahead-of-publish discipline.
+//!
+//! It then checks that a commit costs what it changes, not what the table
+//! holds: `size_invariance` times single-row in-memory update commits on a
+//! 1k-row and on a 64k-row table (one writer) and reports the ratio of
+//! their median latencies, `ratio_64k_over_1k`, which should stay ≤ 2.
 //!
 //! ```sh
 //! cargo run -p rcc-bench --bin wal_commit --release -- \
@@ -66,6 +72,10 @@ fn parse_args() -> Options {
     }
     opts
 }
+
+/// Table sizes and commit count of the size-invariance check.
+const SMALL_ROWS: usize = 1_000;
+const LARGE_ROWS: usize = 64_000;
 
 struct ModeResult {
     txns_per_sec: f64,
@@ -127,6 +137,42 @@ fn bench_mode(name: &str, sync: Option<SyncPolicy>, opts: &Options) -> ModeResul
     result
 }
 
+/// Median latency, in µs, of `commits` single-row update commits against an
+/// in-memory table bulk-loaded with `rows` rows.
+fn commit_p50_us(rows: usize, commits: usize) -> f64 {
+    let cache = MTCache::new();
+    cache
+        .execute("CREATE TABLE bench_t (k INT, v VARCHAR, PRIMARY KEY (k))")
+        .expect("create table");
+    let master = Arc::clone(cache.master());
+    let row = |k: i64, tag: &str| Row::new(vec![Value::Int(k), Value::Str(format!("{tag}-{k}"))]);
+    master
+        .bulk_load(
+            "bench_t",
+            (0..rows as i64).map(|k| row(k, "payload")).collect(),
+        )
+        .expect("bulk load");
+    let mut samples: Vec<f64> = (0..commits)
+        .map(|i| {
+            // stride across the table so commits land in every chunk
+            let k = ((i * 7_919) % rows) as i64;
+            let change = RowChange::Update {
+                key: vec![Value::Int(k)],
+                row: row(k, "updated"),
+            };
+            let started = Instant::now();
+            master
+                .execute_txn(vec![TableChange::new("bench_t", change)])
+                .expect("commit");
+            started.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let p50 = samples[samples.len() / 2];
+    eprintln!("wal_commit: {rows:>6}-row table  single-row commit p50 {p50:.1} us");
+    p50
+}
+
 fn render_mode(r: &ModeResult) -> String {
     format!(
         "{{ \"txns_per_sec\": {:.1}, \"elapsed_secs\": {:.6}, \"wal_fsyncs\": {}, \
@@ -145,6 +191,12 @@ fn main() {
     let in_memory = bench_mode("in_memory", None, &opts);
     let group = bench_mode("group_commit", Some(SyncPolicy::Group), &opts);
     let fsync = bench_mode("fsync_per_commit", Some(SyncPolicy::Always), &opts);
+    let size_commits = opts.threads * opts.txns;
+    let small_p50 = commit_p50_us(SMALL_ROWS, size_commits);
+    let large_p50 = commit_p50_us(LARGE_ROWS, size_commits);
+    let ratio = large_p50 / small_p50;
+    eprintln!("wal_commit: size invariance 64k/1k = {ratio:.2} (gate: <= 2)");
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Sanity: every durable mode paid for its WAL; fsync-per-commit issued
     // at least one fsync per transaction.
@@ -161,14 +213,23 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"wal_commit\",\n  \"threads\": {},\n  \"txns_per_thread\": {},\n  \
-         \"modes\": {{\n    \"in_memory\": {},\n    \"group_commit\": {},\n    \
-         \"fsync_per_commit\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"wal_commit\",\n  \"nproc\": {},\n  \"threads\": {},\n  \
+         \"txns_per_thread\": {},\n  \"modes\": {{\n    \"in_memory\": {},\n    \
+         \"group_commit\": {},\n    \"fsync_per_commit\": {}\n  }},\n  \
+         \"size_invariance\": {{ \"small_rows\": {}, \"large_rows\": {}, \"commits\": {}, \
+         \"small_p50_us\": {:.2}, \"large_p50_us\": {:.2}, \"ratio_64k_over_1k\": {:.3} }}\n}}\n",
+        nproc,
         opts.threads,
         opts.txns,
         render_mode(&in_memory),
         render_mode(&group),
         render_mode(&fsync),
+        SMALL_ROWS,
+        LARGE_ROWS,
+        size_commits,
+        small_p50,
+        large_p50,
+        ratio,
     );
     let out = PathBuf::from(&opts.out);
     let mut f = std::fs::File::create(&out).expect("create output file");

@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// table state and scan it without holding any lock, while distribution
 /// agents and DML apply replicated transactions through
 /// [`TableCell::update`] / [`TableCell::begin_write`] — a copy-on-write
-/// cycle that publishes the whole batch in one atomic epoch bump. Readers
+/// cycle that publishes the whole batch in one atomic snapshot swap. Readers
 /// are never stalled by a refresh and never observe a torn table.
 pub type TableHandle = Arc<TableCell>;
 

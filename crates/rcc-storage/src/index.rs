@@ -1,20 +1,25 @@
 //! Secondary indexes.
+//!
+//! An index is a `ChunkMap` keyed by (index-key values, clustered key),
+//! the same chunk-shared sorted map that holds a table's rows, so a
+//! copy-on-write table publish copies only the index chunk a change
+//! touches.
 
+use crate::chunked::ChunkMap;
 use crate::range::KeyRange;
 use rcc_common::{Row, Value};
-use std::collections::BTreeSet;
 use std::ops::Bound;
 
-/// A secondary BTree index mapping (index-key, clustered-key) pairs to row
-/// locations. Including the clustered key in the BTree key makes duplicate
+/// A secondary index mapping (index-key, clustered-key) pairs to row
+/// locations. Including the clustered key in the sort key makes duplicate
 /// index keys unambiguous, the same trick real engines use.
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     name: String,
     /// Ordinals (into the table schema) of the indexed columns.
     columns: Vec<usize>,
-    /// (index key values ++ clustered key values).
-    entries: BTreeSet<(Vec<Value>, Vec<Value>)>,
+    /// (index key values, clustered key values), in that order.
+    entries: ChunkMap<(Vec<Value>, Vec<Value>), ()>,
 }
 
 impl SecondaryIndex {
@@ -27,7 +32,7 @@ impl SecondaryIndex {
         SecondaryIndex {
             name: name.into(),
             columns,
-            entries: BTreeSet::new(),
+            entries: ChunkMap::new(),
         }
     }
 
@@ -48,7 +53,7 @@ impl SecondaryIndex {
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.len() == 0
     }
 
     fn key_of(&self, row: &Row) -> Vec<Value> {
@@ -57,12 +62,23 @@ impl SecondaryIndex {
 
     /// Add an entry for `row` stored at clustered key `pk`.
     pub fn insert(&mut self, row: &Row, pk: Vec<Value>) {
-        self.entries.insert((self.key_of(row), pk));
+        self.entries.insert((self.key_of(row), pk), ());
     }
 
     /// Remove the entry for `row` stored at clustered key `pk`.
     pub fn remove(&mut self, row: &Row, pk: &[Value]) {
         self.entries.remove(&(self.key_of(row), pk.to_vec()));
+    }
+
+    /// Move the entry at clustered key `pk` from `old`'s index key to
+    /// `new`'s. Leaves the index untouched when the indexed columns did
+    /// not change.
+    pub(crate) fn replace(&mut self, old: &Row, new: &Row, pk: &[Value]) {
+        let (old_key, new_key) = (self.key_of(old), self.key_of(new));
+        if old_key != new_key {
+            self.entries.remove(&(old_key, pk.to_vec()));
+            self.entries.insert((new_key, pk.to_vec()), ());
+        }
     }
 
     /// Drop all entries.
@@ -76,13 +92,12 @@ impl SecondaryIndex {
     where
         E: FnMut(&[Value]),
     {
-        let low: Bound<(Vec<Value>, Vec<Value>)> = match &range.low {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(v) | Bound::Excluded(v) => {
-                Bound::Included((vec![v.clone()], Vec::new()))
-            }
+        let low = match &range.low {
+            Bound::Unbounded => None,
+            Bound::Included(v) | Bound::Excluded(v) => Some(std::slice::from_ref(v)),
         };
-        for (key, pk) in self.entries.range((low, Bound::Unbounded)) {
+        let below = |(key, _): &(Vec<Value>, Vec<Value>)| low.is_some_and(|l| key.as_slice() < l);
+        for ((key, pk), ()) in self.entries.iter_from(below) {
             let first = &key[0];
             if !range.contains(first) {
                 let above_high = match &range.high {
@@ -104,6 +119,12 @@ impl SecondaryIndex {
         let mut n = 0;
         self.scan(range, |_| n += 1);
         n
+    }
+
+    /// The entry map, for checking what two table versions share.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &ChunkMap<(Vec<Value>, Vec<Value>), ()> {
+        &self.entries
     }
 }
 

@@ -2,9 +2,10 @@
 //! In-memory table storage for the RCC mini-DBMS.
 //!
 //! This crate plays the role SQL Server's storage engine plays in the paper:
-//! heap-less tables organized by a clustered BTree index, optional secondary
+//! heap-less tables kept in clustered-key order, optional secondary
 //! indexes, range scans/seeks, and per-table statistics used by the cost
-//! model. Tables execute in memory — the paper's experiments depend only on
+//! model. Rows and index entries live in chunk-shared sorted maps, so a
+//! copy-on-write publish copies only the chunks a change touches. Tables execute in memory — the paper's experiments depend only on
 //! *relative* access-path costs and data volumes — while the durability
 //! layer ([`durable`], [`wal`], [`bufpool`], [`pager`], [`codec`]) gives the
 //! back-end an optional disk-backed mode: WAL-before-publish commits,
@@ -14,6 +15,7 @@
 //! filesystem; `workspace-lint` enforces that boundary.
 
 pub mod bufpool;
+mod chunked;
 pub mod codec;
 pub mod durable;
 pub mod engine;

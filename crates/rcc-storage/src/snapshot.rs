@@ -1,4 +1,4 @@
-//! Copy-on-write table snapshots with epoch-style publication.
+//! Copy-on-write table snapshots behind one swapped `Arc`.
 //!
 //! The hot read path of the cache is the scan, and the paper's whole
 //! premise is that scans are served locally while replication refreshes
@@ -7,32 +7,35 @@
 //! reader. Here a table is instead an immutable [`TableSnapshot`]
 //! published through a [`TableCell`]: readers grab an `Arc` to the current
 //! snapshot and then scan entirely lock-free; writers clone the current
-//! snapshot (copy-on-write), mutate their private copy, and publish it
-//! with an atomic epoch bump. A scan therefore never blocks behind a
-//! refresh and never observes a torn table state — it sees the table
-//! exactly as of some publish, in full.
+//! snapshot (copy-on-write), mutate their private copy, and publish it by
+//! swapping the `Arc`. A scan therefore never blocks behind a refresh and
+//! never observes a torn table state — it sees the table exactly as of
+//! some publish, in full.
 //!
 //! ## Publication protocol
 //!
-//! The cell keeps a small ring of `SLOTS` slots, each holding an
-//! `Arc<Table>`, plus a monotonically increasing `epoch`. Publish `e`
-//! installs the new snapshot into slot `(e + 1) % SLOTS` *before* bumping
-//! the epoch (release store), so the slot named by any observed epoch
-//! always holds a fully published snapshot. Readers load the epoch
-//! (acquire), lock that slot's `RwLock` just long enough to clone the
-//! `Arc` — an O(1) refcount bump, never held across the scan — and go.
-//! A reader that gets lapped by `SLOTS` publishes between the epoch load
-//! and the slot read simply clones a *newer* published snapshot, which is
-//! still atomic (the slot content is only ever replaced wholesale under
-//! the slot's write lock). Writers serialize on a separate mutex so two
-//! publishers can never interleave their read-copy-update cycles and lose
-//! an update.
+//! The cell holds the current snapshot in one `RwLock<Arc<Table>>`, taken
+//! only to clone the `Arc` (readers) or to swap it (publish) — an O(1)
+//! refcount bump or pointer store, never held across a scan or an apply.
+//! Writers serialize on a separate mutex so two publishers can never
+//! interleave their read-copy-update cycles and lose an update; a counter
+//! records how many publishes happened.
+//!
+//! ## Cost model
+//!
+//! A [`Table`] keeps its rows and indexes in chunk-shared sorted maps, so
+//! the writer's private copy shares every chunk with the published
+//! snapshot. [`TableCell::begin_write`] copies only the chunk directories,
+//! and each change copies only the chunk it lands in. A commit or refresh
+//! that touches `r` rows of an `n`-row table costs
+//! O(n / 128 + r × 128) entry copies, not O(n); the old snapshot keeps
+//! its own chunks for as long as a reader holds it.
 
 use crate::table::Table;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rcc_common::Result;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An immutable, atomically published table state. Everything on [`Table`]
@@ -40,19 +43,14 @@ use std::sync::Arc;
 /// snapshot; mutation requires going back through [`TableCell`].
 pub type TableSnapshot = Arc<Table>;
 
-/// Ring size for the publication slots. Small: a reader only contends with
-/// a writer if `SLOTS` publishes complete between its epoch load and its
-/// slot read, and even then it just briefly waits for one `Arc` store.
-const SLOTS: usize = 4;
-
-/// Shared handle to one table: an epoch-published snapshot ring plus a
-/// writer lock. Replaces the old `Arc<RwLock<Table>>` handle — readers no
-/// longer take any per-scan lock, and a replication refresh can never
+/// Shared handle to one table: the published snapshot plus a writer lock.
+/// Readers take no per-scan lock, and a replication refresh can never
 /// stall them.
 pub struct TableCell {
-    slots: [RwLock<TableSnapshot>; SLOTS],
-    /// Publish epoch; `epoch % SLOTS` names the current slot.
-    epoch: AtomicUsize,
+    /// The current snapshot; locked only to clone or swap the `Arc`.
+    current: RwLock<TableSnapshot>,
+    /// Number of publishes so far.
+    publishes: AtomicU64,
     /// Serializes writers (copy-on-write cycles must not interleave).
     writer: Mutex<()>,
 }
@@ -60,37 +58,34 @@ pub struct TableCell {
 impl TableCell {
     /// Wrap `table` as the initial published snapshot.
     pub fn new(table: Table) -> TableCell {
-        let initial = Arc::new(table);
         TableCell {
-            slots: std::array::from_fn(|_| RwLock::new(Arc::clone(&initial))),
-            epoch: AtomicUsize::new(0),
+            current: RwLock::new(Arc::new(table)),
+            publishes: AtomicU64::new(0),
             writer: Mutex::new(()),
         }
     }
 
-    /// The current published snapshot. The internal slot lock is held only
-    /// for the `Arc` clone — O(1), never across the caller's scan — so
-    /// readers are never blocked by an in-flight refresh.
+    /// The current published snapshot. The internal lock is held only for
+    /// the `Arc` clone — O(1), never across the caller's scan — so readers
+    /// are never blocked by an in-flight refresh.
     pub fn snapshot(&self) -> TableSnapshot {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let guard = self.slots[epoch % SLOTS].read();
-        Arc::clone(&guard)
+        Arc::clone(&self.current.read())
     }
 
     /// Number of snapshots published so far (0 for a freshly created cell).
     /// Monotonically increasing; feeds the `rcc_snapshot_publishes_total`
     /// metric.
     pub fn publish_count(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire) as u64
+        self.publishes.load(Ordering::Acquire)
     }
 
     /// Install `snapshot` as the new current state. Caller must hold the
-    /// writer mutex.
+    /// writer mutex. The replaced snapshot is released after the swap, so
+    /// freeing its unshared chunks never happens under the lock.
     fn install(&self, snapshot: TableSnapshot) {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let next = epoch.wrapping_add(1);
-        *self.slots[next % SLOTS].write() = snapshot;
-        self.epoch.store(next, Ordering::Release);
+        let previous = std::mem::replace(&mut *self.current.write(), snapshot);
+        self.publishes.fetch_add(1, Ordering::Release);
+        drop(previous);
     }
 
     /// Copy-on-write update: clone the current snapshot, apply `f` to the
@@ -107,7 +102,9 @@ impl TableCell {
     /// Start an explicit copy-on-write transaction: the returned
     /// [`TableWriter`] derefs to a private mutable [`Table`] copy; call
     /// [`TableWriter::publish`] to install it, or drop it to abort.
-    /// Holds the cell's writer lock for its lifetime.
+    /// Holds the cell's writer lock for its lifetime. The copy shares every
+    /// chunk with the current snapshot, so starting one costs only the
+    /// chunk directories.
     pub fn begin_write(&self) -> TableWriter<'_> {
         let lock = self.writer.lock();
         let working = Table::clone(&self.snapshot());
@@ -122,7 +119,7 @@ impl TableCell {
 impl std::fmt::Debug for TableCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableCell")
-            .field("epoch", &self.epoch.load(Ordering::Relaxed))
+            .field("publishes", &self.publish_count())
             .field("table", &self.snapshot().name().to_string())
             .finish()
     }

@@ -1,9 +1,16 @@
-//! Tables organized by a clustered BTree index.
+//! Tables stored in clustered-key order.
+//!
+//! A table's rows and each of its secondary indexes live in a
+//! `ChunkMap`: sorted chunks of at most 128 entries, shared by `Arc`
+//! between table versions. `Table::clone` copies only the chunk
+//! directories, and each mutation copies only the chunk it touches, so the
+//! copy-on-write publish in [`crate::snapshot`] costs
+//! O(directory + rows changed × chunk), whatever the table size.
 
+use crate::chunked::ChunkMap;
 use crate::index::SecondaryIndex;
 use crate::range::KeyRange;
 use rcc_common::{Error, Result, Row, Schema, Value};
-use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// A logged change to a single row, the unit shipped through the
@@ -26,15 +33,16 @@ pub enum RowChange {
     },
 }
 
-/// An in-memory table: rows stored in clustered-key order inside a BTree,
-/// plus any number of secondary indexes kept in sync on every mutation.
+/// An in-memory table: rows stored in clustered-key order in a chunk-shared
+/// sorted map, plus any number of secondary indexes kept in sync on every
+/// mutation.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     /// Ordinals of the clustered key columns, in key order.
     key: Vec<usize>,
-    rows: BTreeMap<Vec<Value>, Row>,
+    rows: ChunkMap<Vec<Value>, Row>,
     indexes: Vec<SecondaryIndex>,
 }
 
@@ -54,7 +62,7 @@ impl Table {
             name: name.into(),
             schema,
             key,
-            rows: BTreeMap::new(),
+            rows: ChunkMap::new(),
             indexes: Vec::new(),
         }
     }
@@ -92,7 +100,7 @@ impl Table {
             return Err(Error::AlreadyExists(format!("index {name}")));
         }
         let mut ix = SecondaryIndex::new(name, columns);
-        for (key, row) in &self.rows {
+        for (key, row) in self.rows.iter() {
             ix.insert(row, key.clone());
         }
         self.indexes.push(ix);
@@ -122,7 +130,7 @@ impl Table {
             )));
         }
         let key = self.key_of(&row);
-        if self.rows.contains_key(&key) {
+        if self.rows.get(key.as_slice()).is_some() {
             return Err(Error::Storage(format!(
                 "duplicate clustered key {key:?} in table {}",
                 self.name
@@ -146,13 +154,17 @@ impl Table {
             )));
         }
         let key = self.key_of(&row);
-        if let Some(old) = self.rows.remove(&key) {
-            for ix in &mut self.indexes {
-                ix.remove(&old, &key);
+        match self.rows.get(key.as_slice()) {
+            Some(old) => {
+                for ix in &mut self.indexes {
+                    ix.replace(old, &row, &key);
+                }
             }
-        }
-        for ix in &mut self.indexes {
-            ix.insert(&row, key.clone());
+            None => {
+                for ix in &mut self.indexes {
+                    ix.insert(&row, key.clone());
+                }
+            }
         }
         self.rows.insert(key, row);
         Ok(())
@@ -175,7 +187,7 @@ impl Table {
                 "update row's key columns do not match the target key".into(),
             ));
         }
-        if !self.rows.contains_key(key) {
+        if self.rows.get(key).is_none() {
             return Err(Error::Storage(format!("update target {key:?} not found")));
         }
         self.upsert(row)
@@ -200,17 +212,27 @@ impl Table {
         self.rows.get(key)
     }
 
-    /// Translate the single-column range's lower bound into a bound over
-    /// full composite keys: bound the first component, leave the rest open.
-    fn composite_low(range: &KeyRange) -> Bound<Vec<Value>> {
+    /// Translate the single-column range's lower bound into an inclusive
+    /// lower bound over full composite keys: bound the first component,
+    /// leave the rest open (`None` = unbounded).
+    fn composite_low(range: &KeyRange) -> Option<&[Value]> {
         match &range.low {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(v) => Bound::Included(vec![v.clone()]),
+            Bound::Unbounded => None,
             // For an excluded lower bound on a composite key we must skip
             // every key with that first component, so scan from Included and
             // filter in the scan loop.
-            Bound::Excluded(v) => Bound::Included(vec![v.clone()]),
+            Bound::Included(v) | Bound::Excluded(v) => Some(std::slice::from_ref(v)),
         }
+    }
+
+    /// Rows from the composite key `low` on (all rows when `None`), in
+    /// clustered order.
+    fn rows_from<'a>(
+        &'a self,
+        low: Option<&'a [Value]>,
+    ) -> impl Iterator<Item = &'a (Vec<Value>, Row)> {
+        self.rows
+            .iter_from(move |key| low.is_some_and(|l| key.as_slice() < l))
     }
 
     /// True once a composite key's first component has passed the range's
@@ -257,12 +279,9 @@ impl Table {
     {
         // The morsel start is a real clustered key inside the range, so it
         // is always at or above the range's own lower bound and can simply
-        // replace it (an O(log n) BTree seek rather than a skip-scan).
-        let low: Bound<Vec<Value>> = match start {
-            Some(k) => Bound::Included(k.to_vec()),
-            None => Self::composite_low(range),
-        };
-        for (key, row) in self.rows.range((low, Bound::Unbounded)) {
+        // replace it (an O(log n) seek rather than a skip-scan).
+        let low = start.or_else(|| Self::composite_low(range));
+        for (key, row) in self.rows_from(low) {
             if let Some(end) = end {
                 if key.as_slice() >= end {
                     break;
@@ -304,12 +323,9 @@ impl Table {
         P: FnMut(&Row) -> Result<bool>,
     {
         debug_assert_eq!(mapping.len(), cols.len());
-        let low: Bound<Vec<Value>> = match start {
-            Some(k) => Bound::Included(k.to_vec()),
-            None => Self::composite_low(range),
-        };
+        let low = start.or_else(|| Self::composite_low(range));
         let mut appended = 0usize;
-        for (key, row) in self.rows.range((low, Bound::Unbounded)) {
+        for (key, row) in self.rows_from(low) {
             if let Some(end) = end {
                 if key.as_slice() >= end {
                     break;
@@ -340,8 +356,7 @@ impl Table {
         let target = target_rows.max(1);
         let mut splits = Vec::new();
         let mut in_chunk = 0usize;
-        let low = Self::composite_low(range);
-        for (key, _) in self.rows.range((low, Bound::Unbounded)) {
+        for (key, _) in self.rows_from(Self::composite_low(range)) {
             let first = &key[0];
             if !range.contains(first) {
                 if Self::above_high(range, first) {
@@ -387,7 +402,7 @@ impl Table {
 
     /// Full-table scan collecting everything.
     pub fn collect_all(&self) -> Vec<Row> {
-        self.rows.values().cloned().collect()
+        self.rows.iter().map(|(_, row)| row.clone()).collect()
     }
 
     /// Seek a secondary index named `index` with `range`, returning matching
@@ -409,7 +424,7 @@ impl Table {
 
     /// Iterate all rows in clustered order.
     pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.rows.values()
+        self.rows.iter().map(|(_, row)| row)
     }
 
     /// Remove all rows (keeps schema and index definitions).
@@ -717,6 +732,60 @@ mod tests {
             ]
         );
         assert!(t.index_pks("nope", &KeyRange::all()).is_err());
+    }
+
+    /// How many chunks of `new` are not shared with `old`, position by
+    /// position (the directories must line up).
+    fn unshared<K, V>(old: &ChunkMap<K, V>, new: &ChunkMap<K, V>) -> usize
+    where
+        K: Ord + Clone,
+        V: Clone,
+    {
+        assert_eq!(old.chunks().len(), new.chunks().len());
+        old.chunks()
+            .iter()
+            .zip(new.chunks())
+            .filter(|(a, b)| !std::sync::Arc::ptr_eq(a, b))
+            .count()
+    }
+
+    #[test]
+    fn one_row_update_copies_one_row_chunk_and_one_index_chunk() {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("v", DataType::Int),
+            Column::new("pad", DataType::Str),
+        ]);
+        let mut t = Table::new("big", schema, vec![0]);
+        t.create_index("ix_v", vec![1]).unwrap();
+        let row = |id: i64, v: i64, pad: &str| {
+            Row::new(vec![Value::Int(id), Value::Int(v), Value::from(pad)])
+        };
+        for id in 0..65_536 {
+            t.insert(row(id, id * 2, "old")).unwrap();
+        }
+        let cell = crate::snapshot::TableCell::new(t);
+        let before = cell.snapshot();
+        cell.update(|t| t.upsert(row(40_000, 80_001, "new")))
+            .unwrap();
+        let after = cell.snapshot();
+
+        assert_eq!(unshared(&before.rows, &after.rows), 1);
+        assert_eq!(
+            unshared(before.indexes[0].entries(), after.indexes[0].entries()),
+            1
+        );
+        assert!(before.rows.chunks().len() >= 65_536 / 128);
+        // the predecessor still reads the old row, the successor the new
+        let key = [Value::Int(40_000)];
+        assert_eq!(before.get(&key).unwrap().get(2).as_str().unwrap(), "old");
+        assert_eq!(after.get(&key).unwrap().get(2).as_str().unwrap(), "new");
+        let probe = KeyRange::eq(Value::Int(80_000));
+        assert_eq!(
+            before.index_pks("ix_v", &probe).unwrap(),
+            vec![key.to_vec()]
+        );
+        assert!(after.index_pks("ix_v", &probe).unwrap().is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Durability policy is chosen at open time ([`SyncPolicy`]):
 //!
 //! * `Always` — `fsync` inside [`Wal::append`], before the caller publishes
-//!   the COW epoch. Strict WAL-before-visibility.
+//!   the copy-on-write snapshot. Strict WAL-before-visibility.
 //! * `Group` — `append` only buffers in the OS; committers call
 //!   [`Wal::sync_to`] after publishing, where the first waiter becomes the
 //!   flush leader and one `fsync` covers every record appended so far.
@@ -48,7 +48,7 @@ const MAX_PAYLOAD: u32 = 1 << 30;
 /// When acknowledged commits become durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// `fsync` on every append, before the COW epoch is published.
+    /// `fsync` on every append, before the copy-on-write snapshot is published.
     Always,
     /// Leader-batched group commit: publish first, `fsync` before the ack.
     Group,

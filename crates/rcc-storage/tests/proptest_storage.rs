@@ -146,3 +146,217 @@ proptest! {
         }
     }
 }
+
+/// Composite-key table model: rows keyed `(a, b)` with an indexed `v`,
+/// checked against a `BTreeMap` of rows and a `BTreeSet` of index entries
+/// through every scan entry point. Runs of inserts and deletes push the
+/// table across chunk split and merge sizes.
+mod chunked_model {
+    use super::*;
+    use std::collections::BTreeSet;
+    use std::ops::Bound;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Strict inserts of `(a, b)` for `a` in `a0..a0 + n`, `b` in `0..3`.
+        InsertRun(i64, i64, i64),
+        Upsert(i64, i64, i64),
+        Delete(i64, i64),
+        /// Delete every row with `a` in `a0..a0 + n`.
+        DeleteRun(i64, i64),
+        Truncate,
+        Check(KeyRange, usize),
+    }
+
+    fn bound() -> impl Strategy<Value = Bound<Value>> {
+        (0u8..3, -10i64..330).prop_map(|(kind, x)| match kind {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(Value::Int(x)),
+            _ => Bound::Excluded(Value::Int(x)),
+        })
+    }
+
+    fn key_range() -> impl Strategy<Value = KeyRange> {
+        (bound(), bound()).prop_map(|(low, high)| KeyRange { low, high })
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            ((0i64..320), (1i64..120), (-40i64..40)).prop_map(|(a, n, v)| Op::InsertRun(a, n, v)),
+            ((0i64..320), (0i64..3), (-40i64..40)).prop_map(|(a, b, v)| Op::Upsert(a, b, v)),
+            ((0i64..320), (0i64..3)).prop_map(|(a, b)| Op::Delete(a, b)),
+            ((0i64..320), (1i64..150)).prop_map(|(a, n)| Op::DeleteRun(a, n)),
+            (0u8..12).prop_map(|x| if x == 0 {
+                Op::Truncate
+            } else {
+                Op::Delete(x as i64, 0)
+            }),
+            (
+                key_range(),
+                prop_oneof![Just(1usize), 5usize..60, Just(128usize), Just(5000usize)]
+            )
+                .prop_map(|(r, t)| Op::Check(r, t)),
+        ]
+    }
+
+    type Rows = BTreeMap<(i64, i64), i64>;
+    type Entries = BTreeSet<(i64, (i64, i64))>;
+
+    fn table() -> Table {
+        let schema = Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+            Column::new("v", DataType::Int),
+        ]);
+        let mut t = Table::new("t", schema, vec![0, 1]);
+        t.create_index("ix_v", vec![2]).unwrap();
+        t
+    }
+
+    fn row(a: i64, b: i64, v: i64) -> Row {
+        Row::new(vec![Value::Int(a), Value::Int(b), Value::Int(v)])
+    }
+
+    fn triple(r: &Row) -> (i64, i64, i64) {
+        let i = |c| r.get(c).as_int().unwrap();
+        (i(0), i(1), i(2))
+    }
+
+    fn upsert(t: &mut Table, rows: &mut Rows, ix: &mut Entries, a: i64, b: i64, v: i64) {
+        t.upsert(row(a, b, v)).unwrap();
+        if let Some(old) = rows.insert((a, b), v) {
+            ix.remove(&(old, (a, b)));
+        }
+        ix.insert((v, (a, b)));
+    }
+
+    fn delete(t: &mut Table, rows: &mut Rows, ix: &mut Entries, a: i64, b: i64) -> bool {
+        let got = t.delete(&[Value::Int(a), Value::Int(b)]);
+        let want = rows.remove(&(a, b));
+        if let Some(v) = want {
+            ix.remove(&(v, (a, b)));
+        }
+        got.map(|r| triple(&r).2) == want
+    }
+
+    /// Every scan entry point over `range` agrees with the models.
+    fn check(
+        t: &Table,
+        rows: &Rows,
+        ix: &Entries,
+        range: &KeyRange,
+        target: usize,
+    ) -> TestCaseResult {
+        let want: Vec<(i64, i64, i64)> = rows
+            .iter()
+            .filter(|((a, _), _)| range.contains(&Value::Int(*a)))
+            .map(|((a, b), v)| (*a, *b, *v))
+            .collect();
+        let mut serial = Vec::new();
+        t.scan_range(range, |_| true, |r| serial.push(triple(r)));
+        prop_assert_eq!(&serial, &want, "scan_range {:?}", range);
+
+        let plan = t.plan_morsels(range, target);
+        let mut merged = Vec::new();
+        let mut cols = vec![Vec::new(), Vec::new()];
+        let mut filled = 0;
+        for i in 0..plan.morsel_count() {
+            let (start, end) = plan.bounds(i);
+            t.scan_morsel(range, start, end, |_| true, |r| merged.push(triple(r)));
+            filled += t
+                .fill_morsel_columns(
+                    range,
+                    start,
+                    end,
+                    &[2, 0],
+                    |r| Ok(r.get(2).as_int()? % 3 != 0),
+                    &mut cols,
+                )
+                .unwrap();
+        }
+        prop_assert_eq!(&merged, &want, "morsels {:?} target {}", range, target);
+        let kept: Vec<(i64, i64)> = want
+            .iter()
+            .filter(|(_, _, v)| v % 3 != 0)
+            .map(|(a, _, v)| (*v, *a))
+            .collect();
+        let got: Vec<(i64, i64)> = cols[0]
+            .iter()
+            .zip(&cols[1])
+            .map(|(v, a)| (v.as_int().unwrap(), a.as_int().unwrap()))
+            .collect();
+        prop_assert_eq!(filled, kept.len());
+        prop_assert_eq!(got, kept, "fill_morsel_columns {:?}", range);
+
+        let want_ix: Vec<(i64, i64, i64)> = ix
+            .iter()
+            .filter(|(v, _)| range.contains(&Value::Int(*v)))
+            .map(|(v, (a, b))| (*a, *b, *v))
+            .collect();
+        let via_index: Vec<(i64, i64, i64)> = t
+            .index_scan("ix_v", range)
+            .unwrap()
+            .iter()
+            .map(triple)
+            .collect();
+        prop_assert_eq!(&via_index, &want_ix, "index_scan {:?}", range);
+        let pks: Vec<(i64, i64)> = t
+            .index_pks("ix_v", range)
+            .unwrap()
+            .iter()
+            .map(|k| (k[0].as_int().unwrap(), k[1].as_int().unwrap()))
+            .collect();
+        let want_pks: Vec<(i64, i64)> = want_ix.iter().map(|(a, b, _)| (*a, *b)).collect();
+        prop_assert_eq!(pks, want_pks, "index_pks {:?}", range);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+        #[test]
+        fn chunked_table_agrees_with_btree_models(ops in proptest::collection::vec(op(), 1..80)) {
+            let mut t = table();
+            let mut rows = Rows::new();
+            let mut ix = Entries::new();
+            for op in ops {
+                match op {
+                    Op::InsertRun(a0, n, v) => {
+                        for a in a0..a0 + n {
+                            for b in 0..3 {
+                                let v = (v + a * 7 + b) % 41;
+                                let dup = rows.contains_key(&(a, b));
+                                prop_assert_eq!(t.insert(row(a, b, v)).is_err(), dup);
+                                if !dup {
+                                    rows.insert((a, b), v);
+                                    ix.insert((v, (a, b)));
+                                }
+                            }
+                        }
+                    }
+                    Op::Upsert(a, b, v) => upsert(&mut t, &mut rows, &mut ix, a, b, v),
+                    Op::Delete(a, b) => prop_assert!(delete(&mut t, &mut rows, &mut ix, a, b)),
+                    Op::DeleteRun(a0, n) => {
+                        for a in a0..a0 + n {
+                            for b in 0..3 {
+                                prop_assert!(delete(&mut t, &mut rows, &mut ix, a, b));
+                            }
+                        }
+                    }
+                    Op::Truncate => {
+                        t.truncate();
+                        rows.clear();
+                        ix.clear();
+                    }
+                    Op::Check(range, target) => check(&t, &rows, &ix, &range, target)?,
+                }
+                prop_assert_eq!(t.row_count(), rows.len());
+                prop_assert_eq!(t.indexes()[0].len(), ix.len());
+            }
+            check(&t, &rows, &ix, &KeyRange::all(), 100)?;
+            let all: Vec<(i64, i64, i64)> = t.iter().map(triple).collect();
+            let want: Vec<(i64, i64, i64)> = rows.iter().map(|((a, b), v)| (*a, *b, *v)).collect();
+            prop_assert_eq!(all, want);
+        }
+    }
+}
